@@ -5,7 +5,7 @@
 
 namespace nectar::hw {
 
-/// CRC-32 (IEEE 802.3 polynomial), table-driven.
+/// CRC-32 (IEEE 802.3 polynomial), table-driven (slicing-by-8).
 ///
 /// The CAB computes cyclic redundancy checksums for incoming and outgoing
 /// data in hardware (paper §2.2), so the runtime charges *zero CPU time* for

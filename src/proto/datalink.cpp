@@ -152,6 +152,44 @@ void Datalink::discard_front() {
                                });
 }
 
+core::Message Datalink::RxFrame::message() const {
+  core::Message m;
+  m.data = data;
+  m.len = len;
+  m.block = block;
+  m.block_len = block_len;
+  m.from_cache = from_cache;
+  m.cache_owner = from_cache ? &client->input_mailbox() : nullptr;
+  return m;
+}
+
+void Datalink::deliver(const RxFrame& rx) {
+  ++packets_received_;
+  NECTAR_TRACE(trace_instant("dl.recv"));
+  core::Message m = rx.message();
+  obs::CausalTracer* tracer = obs::CausalTracer::active();
+  obs::TraceContext rctx =
+      tracer != nullptr ? tracer->lookup(node_id(), m.data) : obs::TraceContext{};
+  if (rx.crc_ok) {
+    if (tracer != nullptr && rctx.valid()) {
+      tracer->stage(rctx, "rx.datalink", "node" + std::to_string(node_id()));
+    }
+    obs::CausalTracer::RxScope scope(rctx);
+    rx.client->end_of_data(m, rx.src);
+  } else {
+    // The hardware CRC caught corruption: drop silently; reliable protocols
+    // recover by retransmission.
+    ++dropped_crc_;
+    if (tracer != nullptr && rctx.valid()) {
+      tracer->annotate(rctx, "drop.crc");
+      tracer->stage(rctx, "loss.wait", "node" + std::to_string(node_id()));
+      tracer->tag(node_id(), m.data, m.len, {});  // buffer is freed
+    }
+    rx.client->input_mailbox().end_get(m);
+  }
+  process_pending();
+}
+
 void Datalink::process_pending() {
   hw::FiberInFifo& fifo = rt_.board().in_fifo();
   hw::DmaController& dma = rt_.board().dma();
@@ -231,36 +269,17 @@ void Datalink::process_pending() {
   sim::SimTime proto_hdr_avail =
       fifo.payload_available_at(DatalinkHeader::kSize + stamp_skip + client->header_bytes());
 
-  dma.start_recv(m.data, DatalinkHeader::kSize + stamp_skip,
-                 [this, m, src, client](hw::FiberInFifo::ArrivedFrame af, bool crc_ok) {
-                   rt_.cpu().post_interrupt([this, m, src, client, crc_ok] {
-                     ++packets_received_;
-                     NECTAR_TRACE(trace_instant("dl.recv"));
-                     obs::CausalTracer* tracer = obs::CausalTracer::active();
-                     obs::TraceContext rctx =
-                         tracer != nullptr ? tracer->lookup(node_id(), m.data)
-                                           : obs::TraceContext{};
-                     if (crc_ok) {
-                       if (tracer != nullptr && rctx.valid()) {
-                         tracer->stage(rctx, "rx.datalink", "node" + std::to_string(node_id()));
-                       }
-                       obs::CausalTracer::RxScope rx(rctx);
-                       client->end_of_data(m, src);
-                     } else {
-                       // The hardware CRC caught corruption: drop silently;
-                       // reliable protocols recover by retransmission.
-                       ++dropped_crc_;
-                       if (tracer != nullptr && rctx.valid()) {
-                         tracer->annotate(rctx, "drop.crc");
-                         tracer->stage(rctx, "loss.wait", "node" + std::to_string(node_id()));
-                         tracer->tag(node_id(), m.data, m.len, {});  // buffer is freed
-                       }
-                       client->input_mailbox().end_get(m);
-                     }
-                     process_pending();
-                   });
-                   (void)af;
-                 });
+  RxFrame rx{client, m.data, m.len, m.block, m.block_len, m.from_cache, src, false};
+  auto on_received = [this, rx](hw::FiberInFifo::ArrivedFrame, bool crc_ok) mutable {
+    rx.crc_ok = crc_ok;
+    auto on_irq = [this, rx] { deliver(rx); };
+    static_assert(sizeof(on_irq) <= core::Cpu::IrqHandler::inline_capacity(),
+                  "the receive interrupt must not spill to the heap");
+    rt_.cpu().post_interrupt(std::move(on_irq));
+  };
+  static_assert(sizeof(on_received) <= hw::DmaController::RecvDone::inline_capacity(),
+                "the receive-DMA completion must not spill to the heap");
+  dma.start_recv(m.data, DatalinkHeader::kSize + stamp_skip, std::move(on_received));
 
   // Start-of-data upcall: overlap protocol header processing with the rest
   // of the packet's arrival (§4.1).

@@ -119,8 +119,25 @@ class Datalink {
   std::uint64_t dropped_runt() const { return dropped_runt_; }
 
  private:
-  void process_pending();  // interrupt context
-  void discard_front();    // interrupt context
+  /// A frame on its way up from the receive DMA: what its completion and
+  /// the interrupt that completion posts need to hand it to the client.
+  /// The receive buffer is stored field by field rather than as a
+  /// core::Message: it came from `client`'s input mailbox, so the cache owner
+  /// is implied, and dropping that pointer keeps both per-frame closures
+  /// ([this, rx]) inside their inline budgets (no heap spill per frame).
+  struct RxFrame {
+    DatalinkClient* client;
+    hw::CabAddr data, len, block, block_len;
+    bool from_cache;
+    std::uint8_t src;
+    bool crc_ok;
+
+    core::Message message() const;
+  };
+
+  void process_pending();           // interrupt context
+  void discard_front();             // interrupt context
+  void deliver(const RxFrame& rx);  // interrupt context, after the receive DMA
   void trace_instant(const char* label);
 
   core::CabRuntime& rt_;

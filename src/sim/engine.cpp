@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -8,11 +9,46 @@
 
 namespace nectar::sim {
 
+// Inline so both fold into schedule_at() and step(): an out-of-line call per
+// heap operation costs more than the 4-ary heap saves over a binary one.
+inline void Engine::heap_push(QueueEntry e) {
+  std::size_t i = heap_.size();
+  heap_.push_back(e);
+  while (i > 0) {
+    std::size_t parent = (i - 1) / 4;
+    if (!(e < heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = e;
+}
+
+inline void Engine::heap_pop() {
+  QueueEntry last = heap_.back();
+  heap_.pop_back();
+  std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
+  for (;;) {
+    std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    std::size_t end = std::min(first + 4, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (heap_[c] < heap_[best]) best = c;
+    }
+    if (!(heap_[best] < last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+}
+
 SimTime Engine::next_event_time() {
-  while (!queue_.empty()) {
-    const QueueEntry& e = queue_.top();
+  while (!heap_.empty()) {
+    const QueueEntry& e = heap_.front();
     if (live_slot(e.id) != nullptr) return e.time;
-    queue_.pop();  // stale entry for a cancelled/recycled slot
+    heap_pop();  // stale entry for a cancelled/recycled slot
   }
   return -1;
 }
@@ -60,7 +96,7 @@ Engine::EventId Engine::schedule_at(SimTime t, Action fn) {
   s.armed = true;
   s.action = std::move(fn);
   EventId id = make_id(index, s.gen);
-  queue_.push(QueueEntry{t, next_seq_++, id});
+  heap_push(QueueEntry{t, next_seq_++, id});
   ++live_;
   return id;
 }
@@ -74,9 +110,9 @@ bool Engine::cancel(EventId id) {
 }
 
 bool Engine::step() {
-  while (!queue_.empty()) {
-    QueueEntry e = queue_.top();
-    queue_.pop();
+  while (!heap_.empty()) {
+    QueueEntry e = heap_.front();
+    heap_pop();
     Slot* s = live_slot(e.id);
     if (s == nullptr) continue;  // cancelled
     // Move the action out before running it: the callback may schedule new
@@ -98,11 +134,11 @@ void Engine::run() {
 }
 
 bool Engine::run_until(SimTime t) {
-  while (!queue_.empty()) {
+  while (!heap_.empty()) {
     // Skip over cancelled entries without advancing time.
-    QueueEntry e = queue_.top();
+    const QueueEntry& e = heap_.front();
     if (live_slot(e.id) == nullptr) {
-      queue_.pop();
+      heap_pop();
       continue;
     }
     if (e.time > t) {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/action.hpp"
@@ -28,8 +27,9 @@ class ParallelEngine;
 /// Events live in a slab of pooled slots (free-list recycled) holding their
 /// callables inline; an EventId is a generation-checked handle into the slab,
 /// so cancel() is O(1) and stale handles (fired, cancelled, or recycled
-/// events) are rejected without any map lookup. The heap only orders
-/// lightweight (time, seq, handle) entries.
+/// events) are rejected without any map lookup. The queue is a 4-ary
+/// min-heap of lightweight (time, seq, handle) entries: half the depth of a
+/// binary heap, and the four children compared at each step are adjacent.
 class Engine {
  public:
   using EventId = std::uint64_t;
@@ -122,8 +122,8 @@ class Engine {
     SimTime time;
     std::uint64_t seq;  // global insertion order: ties on `time` fire FIFO
     EventId id;
-    bool operator>(const QueueEntry& o) const {
-      return time != o.time ? time > o.time : seq > o.seq;
+    bool operator<(const QueueEntry& o) const {
+      return time != o.time ? time < o.time : seq < o.seq;
     }
   };
 
@@ -135,12 +135,14 @@ class Engine {
   /// The slot an id refers to iff the id is live; nullptr for stale handles.
   Slot* live_slot(EventId id);
   void release_slot(std::size_t slot_index);
+  void heap_push(QueueEntry e);
+  void heap_pop();  // removes heap_.front(), the earliest entry
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   std::size_t live_ = 0;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
+  std::vector<QueueEntry> heap_;  // 4-ary min-heap on (time, seq); children of i: 4i+1..4i+4
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
 

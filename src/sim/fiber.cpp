@@ -1,25 +1,79 @@
 #include "sim/fiber.hpp"
 
 #include <cassert>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 
-// TSan cannot follow swapcontext on its own: without annotations every
-// fiber switch looks like one thread magically jumping stacks, and shadow
-// state from one fiber's frames bleeds into the next. The fiber API
-// (__tsan_create_fiber / __tsan_switch_to_fiber) tells it each Fiber is a
-// separate logical execution context.
+// The sanitizers cannot follow a stack switch on their own: without
+// annotations every fiber switch looks like one thread magically jumping
+// stacks. TSan's fiber API (__tsan_create_fiber / __tsan_switch_to_fiber)
+// tells it each Fiber is a separate logical execution context, so shadow
+// state from one fiber's frames does not bleed into the next. ASan's
+// (__sanitizer_start/finish_switch_fiber) tells it which stack is live, so
+// stack poisoning, fake stacks and no-return unwinding use the right bounds.
 #if defined(__SANITIZE_THREAD__)
 #define NECTAR_TSAN_FIBERS 1
-#elif defined(__has_feature)
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define NECTAR_ASAN_FIBERS 1
+#endif
+#if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define NECTAR_TSAN_FIBERS 1
+#endif
+#if __has_feature(address_sanitizer)
+#define NECTAR_ASAN_FIBERS 1
 #endif
 #endif
 
 #ifdef NECTAR_TSAN_FIBERS
 #include <sanitizer/tsan_interface.h>
+#endif
+#ifdef NECTAR_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#endif
+
+#if defined(__x86_64__)
+// nectar_fiber_switch(void** save_sp, void* load_sp): push the SysV
+// callee-saved registers (rbp, rbx, r12-r15) and the two floating-point
+// control registers that are callee-saved too (MXCSR, x87 control word) on
+// the running stack, store its stack pointer to *save_sp, load load_sp and
+// pop the same frame off it. Caller-saved state is already dead at the call,
+// and the signal mask is never touched, so there is no system call — that
+// is the whole gain over swapcontext.
+extern "C" void nectar_fiber_switch(void** save_sp, void* load_sp);
+asm(R"(
+  .text
+  .p2align 4
+  .globl nectar_fiber_switch
+  .hidden nectar_fiber_switch
+  .type nectar_fiber_switch, @function
+nectar_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  fnstcw (%rsp)
+  stmxcsr 8(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size nectar_fiber_switch, .-nectar_fiber_switch
+)");
 #endif
 
 namespace nectar::sim {
@@ -27,12 +81,18 @@ namespace nectar::sim {
 namespace {
 /// The fiber currently executing on this OS thread (nullptr = main context).
 thread_local Fiber* g_current = nullptr;
-/// Handshake slot for makecontext, which cannot carry a pointer portably.
+/// Handshake slot: the fiber whose trampoline is about to start.
 thread_local Fiber* g_starting = nullptr;
 #ifdef NECTAR_TSAN_FIBERS
 /// TSan handle of the main context that last resumed a fiber on this
-/// thread; suspend/finish switch TSan back to it before swapcontext does.
+/// thread; suspend/finish switch TSan back to it before switching stacks.
 thread_local void* g_tsan_return = nullptr;
+#endif
+#ifdef NECTAR_ASAN_FIBERS
+/// Bounds of the main context's stack on this thread, learned when a fiber
+/// is entered and handed back to ASan when it switches out again.
+thread_local const void* g_asan_main_bottom = nullptr;
+thread_local std::size_t g_asan_main_size = 0;
 #endif
 }  // namespace
 
@@ -48,9 +108,49 @@ Fiber::~Fiber() {
 #endif
 }
 
+#if defined(__x86_64__)
+
+void Fiber::make_context() {
+  // A frame shaped like the one nectar_fiber_switch pushes, so the first
+  // switch in pops it and `ret`s into trampoline() with the stack aligned
+  // as at any call. The fiber starts with the resumer's floating-point
+  // control state; the zero above the entry address is trampoline()'s own
+  // return address, which it never uses.
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpu_cw = 0;
+  asm("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fpu_cw));
+  auto top = reinterpret_cast<std::uintptr_t>(stack_.data() + stack_.size()) & ~std::uintptr_t{15};
+  auto* frame = reinterpret_cast<std::uint64_t*>(top) - 10;
+  frame[0] = fpu_cw;
+  frame[1] = mxcsr;
+  for (int i = 2; i < 8; ++i) frame[i] = 0;  // r15 r14 r13 r12 rbx rbp
+  frame[8] = reinterpret_cast<std::uint64_t>(&Fiber::trampoline);
+  frame[9] = 0;
+  context_ = frame;
+}
+
+void Fiber::switch_context(Context& from, Context& to) { nectar_fiber_switch(&from, to); }
+
+#else
+
+void Fiber::make_context() {
+  getcontext(&context_);
+  context_.uc_stack.ss_sp = stack_.data();
+  context_.uc_stack.ss_size = stack_.size();
+  context_.uc_link = nullptr;  // trampoline() never returns
+  makecontext(&context_, &Fiber::trampoline, 0);
+}
+
+void Fiber::switch_context(Context& from, Context& to) { swapcontext(&from, &to); }
+
+#endif
+
 void Fiber::trampoline() {
   Fiber* self = g_starting;
   g_starting = nullptr;
+#ifdef NECTAR_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(nullptr, &g_asan_main_bottom, &g_asan_main_size);
+#endif
   try {
     self->body_();
   } catch (const std::exception& e) {
@@ -65,7 +165,12 @@ void Fiber::trampoline() {
 #ifdef NECTAR_TSAN_FIBERS
   __tsan_switch_to_fiber(g_tsan_return, 0);
 #endif
-  // Fall back to the resumer; uc_link handles the final switch.
+#ifdef NECTAR_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(nullptr, g_asan_main_bottom, g_asan_main_size);  // stack dies
+#endif
+  // Back to the resumer for good: nothing ever switches into this stack again.
+  switch_context(self->context_, self->return_context_);
+  std::abort();
 }
 
 void Fiber::resume() {
@@ -74,19 +179,22 @@ void Fiber::resume() {
   g_current = this;
   if (!started_) {
     started_ = true;
-    getcontext(&context_);
-    context_.uc_stack.ss_sp = stack_.data();
-    context_.uc_stack.ss_size = stack_.size();
-    context_.uc_link = &return_context_;
     g_starting = this;
-    makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
+    make_context();
   }
 #ifdef NECTAR_TSAN_FIBERS
   if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
   g_tsan_return = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  swapcontext(&return_context_, &context_);
+#ifdef NECTAR_ASAN_FIBERS
+  void* main_fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&main_fake_stack, stack_.data(), stack_.size());
+#endif
+  switch_context(return_context_, context_);
+#ifdef NECTAR_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(main_fake_stack, nullptr, nullptr);
+#endif
   g_current = nullptr;
 }
 
@@ -97,8 +205,14 @@ void Fiber::suspend() {
 #ifdef NECTAR_TSAN_FIBERS
   __tsan_switch_to_fiber(g_tsan_return, 0);
 #endif
-  swapcontext(&self->context_, &self->return_context_);
+#ifdef NECTAR_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(&self->asan_fake_stack_, g_asan_main_bottom, g_asan_main_size);
+#endif
+  switch_context(self->context_, self->return_context_);
   // Resumed again.
+#ifdef NECTAR_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(self->asan_fake_stack_, &g_asan_main_bottom, &g_asan_main_size);
+#endif
   g_current = self;
 }
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <functional>
@@ -10,7 +12,7 @@
 
 namespace nectar::sim {
 
-/// Cooperative green thread (ucontext-based).
+/// Cooperative green thread with its own stack.
 ///
 /// Fibers are the execution substrate for simulated CAB threads, interrupt
 /// contexts, and host processes. Each fiber belongs to exactly one OS
@@ -20,9 +22,13 @@ namespace nectar::sim {
 /// runtime primitive), at which point control returns to whoever called
 /// `resume()` — always the event engine's main context on the same thread.
 ///
-/// Under ThreadSanitizer the stack switches are annotated with TSan's fiber
-/// API so cross-shard race detection keeps working instead of false-alarming
-/// on every swapcontext.
+/// On x86-64 a switch is a hand-written stack swap (sim/fiber.cpp) that
+/// saves only the SysV callee-saved registers, MXCSR and the x87 control
+/// word, and makes no system call. Other hosts fall back to ucontext.
+///
+/// Under ThreadSanitizer and AddressSanitizer the stack switches are
+/// annotated with the sanitizers' fiber APIs, so race detection and stack
+/// poisoning follow each fiber instead of false-alarming on every switch.
 class Fiber {
  public:
   /// Create a fiber that will run `body` when first resumed.
@@ -48,16 +54,27 @@ class Fiber {
   const std::string& name() const { return name_; }
 
  private:
+#if defined(__x86_64__)
+  using Context = void*;  // saved stack pointer; the registers sit on that stack
+#else
+  using Context = ucontext_t;
+#endif
+
   static void trampoline();
+  /// Prepare `context_` so that the first switch into it enters trampoline().
+  void make_context();
+  /// Save the running context into `from`, then continue `to`.
+  static void switch_context(Context& from, Context& to);
 
   std::function<void()> body_;
   std::string name_;
   std::vector<unsigned char> stack_;
-  ucontext_t context_{};
-  ucontext_t return_context_{};
+  Context context_{};         // this fiber, while it is switched out
+  Context return_context_{};  // the resumer, while this fiber runs
   bool started_ = false;
   bool finished_ = false;
-  void* tsan_fiber_ = nullptr;  // TSan fiber handle (TSan builds only)
+  void* tsan_fiber_ = nullptr;       // TSan fiber handle (TSan builds only)
+  void* asan_fake_stack_ = nullptr;  // ASan fake-stack save slot (ASan builds only)
 };
 
 }  // namespace nectar::sim

@@ -59,6 +59,23 @@ TEST(Marshal, StringsAndOpaquePadToFourBytes) {
   });
 }
 
+TEST(Marshal, EmptyStringDecodesAlone) {
+  // Decoding "" reads zero bytes into an empty buffer whose data() is null.
+  Fixture f;
+  f.run_on_cab(0, [](core::CabRuntime& rt) {
+    core::Mailbox& mb = rt.create_mailbox("m");
+    core::Message m = mb.begin_put(64);
+    Marshaller::Encoder enc(rt, m);
+    enc.put_string("");
+    core::Message msg = enc.finish();
+    Marshaller::Decoder dec(rt, msg);
+    EXPECT_EQ(dec.get_string(), "");
+    EXPECT_TRUE(dec.done());
+    mb.end_put(msg);
+    mb.end_get(mb.begin_get());
+  });
+}
+
 TEST(Marshal, ArraysRoundTrip) {
   Fixture f;
   f.run_on_cab(0, [](core::CabRuntime& rt) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <span>
+#include <stdexcept>
 
 namespace nectar::hw {
 namespace {
@@ -51,6 +53,17 @@ TEST(CabMemory, OutOfBoundsFaults) {
   CabMemory m;
   EXPECT_THROW(m.read8(kDataEnd), std::out_of_range);
   EXPECT_THROW(m.read32(kDataEnd - 2), std::out_of_range);
+}
+
+TEST(CabMemory, ZeroLengthCopiesAreNoOps) {
+  // An empty span's data() is null; memcpy must never see it, even for 0 bytes.
+  CabMemory m;
+  m.write8(kDataBase, 0x5A);
+  m.read(kDataBase, std::span<std::uint8_t>{});
+  m.write(kDataBase, std::span<const std::uint8_t>{});
+  m.write(kDataEnd, std::span<const std::uint8_t>{});  // one past the end holds nothing
+  EXPECT_EQ(m.read8(kDataBase), 0x5A);
+  EXPECT_THROW(m.read(kProgramEnd, std::span<std::uint8_t>{}), std::out_of_range);  // hole
 }
 
 TEST(CabMemory, RegionPredicates) {

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/random.hpp"
 
 namespace nectar::sim {
 namespace {
@@ -54,6 +56,51 @@ TEST(EnginePool, CancelChurnStressFiresExactlySurvivors) {
   std::vector<int> expected_sorted = expected;
   std::sort(expected_sorted.begin(), expected_sorted.end());
   EXPECT_EQ(fired_sorted, expected_sorted);
+  EXPECT_TRUE(e.empty());
+}
+
+TEST(EnginePool, PopOrderMatchesReferenceSortOnTimeThenSeq) {
+  // Random schedules (a narrow time range, so many ties), cancels and single
+  // steps; every pop must be the smallest (time, insertion order) key of a
+  // sorted reference model.
+  Engine e;
+  Random rng(2024);
+  using Key = std::pair<SimTime, std::uint64_t>;
+  std::map<Key, int> reference;
+  std::vector<std::pair<Engine::EventId, Key>> handles;  // may include fired ones
+  std::uint64_t seq = 0;
+  int label = 0;
+  int fired = -1;
+  auto step_and_check = [&] {
+    auto first = reference.begin();
+    ASSERT_TRUE(e.step());
+    EXPECT_EQ(fired, first->second);
+    EXPECT_EQ(e.now(), first->first.first);
+    reference.erase(first);
+  };
+  for (int op = 0; op < 20000; ++op) {
+    std::uint64_t r = rng.next_below(10);
+    if (r < 5) {
+      SimTime t = e.now() + static_cast<SimTime>(rng.next_below(64));
+      int l = label++;
+      Key key{t, seq++};
+      handles.emplace_back(e.schedule_at(t, [&fired, l] { fired = l; }), key);
+      reference.emplace(key, l);
+    } else if (r < 7) {
+      if (handles.empty()) continue;
+      std::size_t i = static_cast<std::size_t>(rng.next_below(handles.size()));
+      bool pending = reference.erase(handles[i].second) > 0;
+      EXPECT_EQ(e.cancel(handles[i].first), pending);
+      handles[i] = handles.back();
+      handles.pop_back();
+    } else if (reference.empty()) {
+      EXPECT_FALSE(e.step());
+    } else {
+      step_and_check();
+    }
+  }
+  while (!reference.empty()) step_and_check();
+  EXPECT_FALSE(e.step());
   EXPECT_TRUE(e.empty());
 }
 

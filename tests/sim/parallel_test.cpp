@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -160,12 +161,15 @@ TEST(ParallelEngineTest, IndependentShardsParallelizePerfectly) {
   // critical path is one shard's share, so ideal speedup == shard count.
   ParallelEngine par(2);
   par.set_lookahead(100);
-  int fired = 0;
+  // One counter per shard: the shards fire their events on different threads.
+  std::array<int, 2> fired_per_shard{};
   for (int s = 0; s < 2; ++s) {
     Engine& e = par.shard(s);
-    for (SimTime t = 1; t <= 50; ++t) e.schedule_at(t, [&fired] { ++fired; });
+    int& count = fired_per_shard[static_cast<std::size_t>(s)];
+    for (SimTime t = 1; t <= 50; ++t) e.schedule_at(t, [&count] { ++count; });
   }
   par.run_until(200);
+  const int fired = fired_per_shard[0] + fired_per_shard[1];
   EXPECT_EQ(fired, 100);
   EXPECT_EQ(par.total_events(), 100u);
   EXPECT_EQ(par.critical_path_events(), 50u);
