@@ -24,6 +24,7 @@ Breakdown measure(const BenchOptions& opts, obs::Snapshot* metrics_out) {
   net::NectarSystem sys(2, /*with_vme=*/true);
   host::HostNode h0(sys, 0), h1(sys, 1);
   sim::TraceRecorder& tr = sys.net().trace();
+  tr.set_enabled(true);
   if (!opts.trace_path.empty()) sys.tracer().set_enabled(true);
   start_profile(opts, sys.profiler());
 

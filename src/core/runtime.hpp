@@ -71,7 +71,7 @@ class CabRuntime {
 
   sim::TraceRecorder* trace() { return trace_; }
   void trace_mark(const char* label) {
-    if (trace_ != nullptr) trace_->mark(label);
+    if (trace_ != nullptr && trace_->enabled()) trace_->mark(label);
     // Mirror legacy marks onto this CAB's CPU track so Figure-6 style
     // breakdown points appear on the Chrome timeline unchanged.
     NECTAR_TRACE(if (obs::tracing(cpu_.tracer())) cpu_.tracer()->instant(cpu_.trace_track(), label));

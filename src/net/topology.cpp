@@ -31,13 +31,11 @@ Network::Network(int shards)
     : par_(std::make_unique<sim::ParallelEngine>(shards)),
       trace_(par_->shard(0)),
       tracer_(par_->shard(0)) {
-  if (shards > 1) {
-    // The debug TraceRecorder appends to one shared vector from every mark()
-    // site; it is a single-shard tool. Default it off so instrumented code
-    // paths on worker threads reduce to one branch (scenario validation
-    // additionally rejects configs that would re-enable it).
-    trace_.set_enabled(false);
-  }
+  // The debug TraceRecorder appends every mark() to one growing vector that
+  // only the Figure-6 bench reads, and from worker threads at shards > 1.
+  // It starts off, so instrumented paths reduce to one branch; a
+  // single-shard caller that wants the marks calls set_enabled(true).
+  trace_.set_enabled(false);
 }
 
 void Network::register_audit(obs::Auditor& auditor) {

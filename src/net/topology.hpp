@@ -63,6 +63,7 @@ class Network {
   int node_shard(int node) const { return hub_shard(cab_hub(node)); }
   sim::Engine& engine_of_node(int node) { return par_->shard(node_shard(node)); }
 
+  /// The debug Figure-6 recorder: off until trace().set_enabled(true).
   sim::TraceRecorder& trace() { return trace_; }
 
   /// Network-wide observability: every node's stats report into one registry,

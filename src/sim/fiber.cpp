@@ -1,10 +1,15 @@
 #include "sim/fiber.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cassert>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <system_error>
 
 // The sanitizers cannot follow a stack switch on their own: without
 // annotations every fiber switch looks like one thread magically jumping
@@ -32,6 +37,7 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 #ifdef NECTAR_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -94,10 +100,40 @@ thread_local void* g_tsan_return = nullptr;
 thread_local const void* g_asan_main_bottom = nullptr;
 thread_local std::size_t g_asan_main_size = 0;
 #endif
+
+std::size_t page_size() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
 }  // namespace
 
+Fiber::Stack::Stack(std::size_t size, const std::string& owner)
+    : size_((size + page_size() - 1) / page_size() * page_size()) {
+  // MAP_NORESERVE: reserve address space only; the kernel commits (and
+  // zero-fills) a page when the fiber first touches it.
+  void* map = mmap(nullptr, page_size() + size_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (map == MAP_FAILED || mprotect(map, page_size(), PROT_NONE) != 0) {
+    int err = errno;
+    if (map != MAP_FAILED) munmap(map, page_size() + size_);
+    throw std::system_error(err, std::generic_category(),
+                            "fiber '" + owner + "': cannot map a " + std::to_string(size_) +
+                                "-byte stack");
+  }
+  base_ = static_cast<unsigned char*>(map) + page_size();
+}
+
+Fiber::Stack::~Stack() {
+#ifdef NECTAR_ASAN_FIBERS
+  // Frames abandoned on a parked stack leave poisoned shadow behind; clear
+  // it so the next mapping at this address starts clean.
+  ASAN_UNPOISON_MEMORY_REGION(base_, size_);
+#endif
+  munmap(base_ - page_size(), page_size() + size_);
+}
+
 Fiber::Fiber(std::function<void()> body, std::string name, std::size_t stack_size)
-    : body_(std::move(body)), name_(std::move(name)), stack_(stack_size) {}
+    : body_(std::move(body)), name_(std::move(name)), stack_(stack_size, name_) {}
 
 Fiber::~Fiber() {
   // Destroying a suspended-but-unfinished fiber abandons its stack frame;
@@ -119,7 +155,7 @@ void Fiber::make_context() {
   std::uint32_t mxcsr = 0;
   std::uint16_t fpu_cw = 0;
   asm("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fpu_cw));
-  auto top = reinterpret_cast<std::uintptr_t>(stack_.data() + stack_.size()) & ~std::uintptr_t{15};
+  auto top = reinterpret_cast<std::uintptr_t>(stack_.base() + stack_.size()) & ~std::uintptr_t{15};
   auto* frame = reinterpret_cast<std::uint64_t*>(top) - 10;
   frame[0] = fpu_cw;
   frame[1] = mxcsr;
@@ -135,7 +171,7 @@ void Fiber::switch_context(Context& from, Context& to) { nectar_fiber_switch(&fr
 
 void Fiber::make_context() {
   getcontext(&context_);
-  context_.uc_stack.ss_sp = stack_.data();
+  context_.uc_stack.ss_sp = stack_.base();
   context_.uc_stack.ss_size = stack_.size();
   context_.uc_link = nullptr;  // trampoline() never returns
   makecontext(&context_, &Fiber::trampoline, 0);
@@ -189,7 +225,7 @@ void Fiber::resume() {
 #endif
 #ifdef NECTAR_ASAN_FIBERS
   void* main_fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(&main_fake_stack, stack_.data(), stack_.size());
+  __sanitizer_start_switch_fiber(&main_fake_stack, stack_.base(), stack_.size());
 #endif
   switch_context(return_context_, context_);
 #ifdef NECTAR_ASAN_FIBERS

@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace nectar::sim {
 
@@ -26,12 +25,20 @@ namespace nectar::sim {
 /// saves only the SysV callee-saved registers, MXCSR and the x87 control
 /// word, and makes no system call. Other hosts fall back to ucontext.
 ///
+/// Each stack is an anonymous mapping reserved at construction and
+/// committed by the kernel one page at a time as the fiber first touches
+/// it, so a fiber costs resident memory for the depth it actually reached,
+/// not for `stack_size`. A PROT_NONE guard page sits below the stack: an
+/// overflow faults instead of overwriting a neighbour.
+///
 /// Under ThreadSanitizer and AddressSanitizer the stack switches are
 /// annotated with the sanitizers' fiber APIs, so race detection and stack
 /// poisoning follow each fiber instead of false-alarming on every switch.
 class Fiber {
  public:
-  /// Create a fiber that will run `body` when first resumed.
+  /// Create a fiber that will run `body` when first resumed. `stack_size`
+  /// is rounded up to whole pages. Throws std::system_error naming the
+  /// fiber if its stack cannot be mapped.
   explicit Fiber(std::function<void()> body, std::string name = "fiber",
                  std::size_t stack_size = 256 * 1024);
   ~Fiber();
@@ -60,6 +67,22 @@ class Fiber {
   using Context = ucontext_t;
 #endif
 
+  /// Owner of one stack mapping: a guard page, then `size()` usable bytes.
+  class Stack {
+   public:
+    Stack(std::size_t size, const std::string& owner);
+    ~Stack();
+    Stack(const Stack&) = delete;
+    Stack& operator=(const Stack&) = delete;
+
+    unsigned char* base() const { return base_; }  // lowest usable byte
+    std::size_t size() const { return size_; }
+
+   private:
+    std::size_t size_;
+    unsigned char* base_ = nullptr;  // the guard page is the one just below
+  };
+
   static void trampoline();
   /// Prepare `context_` so that the first switch into it enters trampoline().
   void make_context();
@@ -68,7 +91,7 @@ class Fiber {
 
   std::function<void()> body_;
   std::string name_;
-  std::vector<unsigned char> stack_;
+  Stack stack_;
   Context context_{};         // this fiber, while it is switched out
   Context return_context_{};  // the resumer, while this fiber runs
   bool started_ = false;

@@ -8,16 +8,16 @@
 
 namespace nectar::sim {
 
-void TraceRecorder::mark(std::string label) {
+void TraceRecorder::mark(std::string_view label) {
   if (!enabled_) return;
-  if (obs::tracing(sink_)) sink_->instant(sink_track_, label);
-  marks_.push_back({std::move(label), engine_.now()});
+  if (obs::tracing(sink_)) sink_->instant(sink_track_, std::string(label));
+  marks_.push_back({std::string(label), engine_.now()});
 }
 
-void TraceRecorder::begin(std::string label) {
+void TraceRecorder::begin(std::string_view label) {
   if (!enabled_) return;
-  if (obs::tracing(sink_)) sink_->begin(sink_track_, label);
-  open_.push_back({std::move(label), engine_.now(), 0});
+  if (obs::tracing(sink_)) sink_->begin(sink_track_, std::string(label));
+  open_.push_back({std::string(label), engine_.now(), 0});
 }
 
 void TraceRecorder::end(const std::string& label) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -43,11 +44,12 @@ class TraceRecorder {
     SimTime duration() const { return end - start; }
   };
 
-  /// Record an instantaneous named event.
-  void mark(std::string label);
+  /// Record an instantaneous named event. A disabled recorder returns
+  /// before copying the label.
+  void mark(std::string_view label);
 
   /// Open a named span. Same-label spans nest (LIFO).
-  void begin(std::string label);
+  void begin(std::string_view label);
   /// Close the most recently begun open span with this label. Throws
   /// std::logic_error if no span with this label is open.
   void end(const std::string& label);

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "host/node.hpp"
 
@@ -120,12 +122,16 @@ TEST(Integration, MixedProtocolTrafficOnFourNodes) {
 
 TEST(Integration, TwoHostPairsShareTheFabric) {
   // Four hosts on four CABs: 0->1 and 2->3 stream through the same HUB.
+  // Declared first, so every receive port outlives the process using it.
+  std::vector<std::unique_ptr<host::HostNectarPort>> rx_ports;
   NectarSystem sys(4, /*with_vme=*/true);
   host::HostNode h0(sys, 0), h1(sys, 1), h2(sys, 2), h3(sys, 3);
 
-  auto stream = [&sys](host::HostNode& src, host::HostNode& dst, int dst_node,
-                       const char* name, int n, std::size_t size, sim::SimTime* done) {
-    auto* dstp = new host::HostNectarPort(dst.nin, dst.sockets, name);
+  auto stream = [&sys, &rx_ports](host::HostNode& src, host::HostNode& dst, int dst_node,
+                                  const char* name, int n, std::size_t size, sim::SimTime* done) {
+    auto* dstp =
+        rx_ports.emplace_back(std::make_unique<host::HostNectarPort>(dst.nin, dst.sockets, name))
+            .get();
     core::MailboxAddr addr = dstp->address();
     dst.host.run_process("rx", [&sys, dstp, n, size, done] {
       std::vector<std::uint8_t> buf(size);

@@ -115,6 +115,38 @@ TEST(NectarSystemTest, EveryPairCanExchangeDatagrams) {
   EXPECT_EQ(delivered, 12);
 }
 
+TEST(NectarSystemTest, TraceRecorderRecordsOnlyWhenEnabled) {
+  // The debug Figure-6 recorder starts off at one shard too: a run leaves
+  // no marks in it unless a caller turned it on.
+  for (bool enabled : {false, true}) {
+    SCOPED_TRACE(enabled ? "enabled" : "default");
+    NectarSystem sys(2);
+    ASSERT_EQ(sys.net().shard_count(), 1);
+    sim::TraceRecorder& trace = sys.net().trace();
+    EXPECT_FALSE(trace.enabled());
+    trace.set_enabled(enabled);
+    core::Mailbox& inbox = sys.runtime(1).create_mailbox("in");
+    bool delivered = false;
+    sys.runtime(0).fork_system("tx", [&] {
+      core::Mailbox& s = sys.runtime(0).create_mailbox("s");
+      sys.stack(0).datagram.send(inbox.address(), s.begin_put(16));
+    });
+    sys.runtime(1).fork_system("rx", [&] {
+      inbox.end_get(inbox.begin_get());
+      delivered = true;
+    });
+    sys.engine().run();
+    EXPECT_TRUE(delivered);
+    if (enabled) {
+      EXPECT_GE(trace.mark_time("datagram.send"), 0);
+      EXPECT_GT(trace.mark_time("datagram.deliver"), trace.mark_time("datagram.send"));
+    } else {
+      EXPECT_TRUE(trace.marks().empty());
+      EXPECT_TRUE(trace.spans().empty());
+    }
+  }
+}
+
 TEST(Topology, HubContentionSerializesConcurrentSendersToOneTarget) {
   // Three senders blast one receiver: HUB output-port contention must
   // serialize frames, not lose them.

@@ -1,9 +1,12 @@
 #include "sim/fiber.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cfenv>
+#include <csignal>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -48,6 +51,23 @@ int recurse_and_yield(int depth, int yield_every) {
   if (depth % yield_every == 0) Fiber::suspend();
   int below = recurse_and_yield(depth - 1, yield_every);
   return below + frame[depth % 128];
+}
+
+/// Recurse `depth` levels with a written 1 KB frame at each; returns 0.
+int recurse_kb_frames(int depth) {
+  volatile unsigned char frame[1024];
+  for (auto& byte : frame) byte = 0;
+  if (depth == 0) return frame[0];
+  return recurse_kb_frames(depth - 1) + frame[depth % 1024];  // not a tail call
+}
+
+/// Resident set of this process in bytes, from /proc/self/statm.
+long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long size_pages = 0;
+  long resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * sysconf(_SC_PAGESIZE);
 }
 
 TEST(Fiber, RunsBodyOnResume) {
@@ -240,6 +260,46 @@ TEST(Fiber, DestroyUnstartedAndUnfinishedFibersIsSafe) {
     f.resume();
   }  // suspended, destroyed without finishing
   SUCCEED();
+}
+
+TEST(Fiber, StackOverflowHitsGuardPage) {
+  // 128 KB of frames on a 64 KB stack: the first write below the stack
+  // lands on the guard page and faults at once, instead of silently
+  // overwriting whatever is mapped beneath.
+  auto overflow = [] {
+    Fiber f([] { recurse_kb_frames(128); }, "overflow", 64 * 1024);
+    f.resume();
+  };
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  EXPECT_DEATH(overflow(), "stack-overflow");  // the sanitizer's SEGV report
+#else
+  EXPECT_EXIT(overflow(), ::testing::KilledBySignal(SIGSEGV), "");
+#endif
+}
+
+TEST(Fiber, StacksCommitOnlyTouchedPages) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer commits shadow and state of its own per fiber "
+                  "(about 800 KB each), which this bound on stack pages does not model";
+#endif
+  constexpr int kFibers = 2000;
+  constexpr std::size_t kStack = 256 * 1024;  // 500 MB reserved in all
+  int ran = 0;
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  fibers.reserve(kFibers);
+  const long before = resident_bytes();
+  for (int i = 0; i < kFibers; ++i) {
+    fibers.push_back(std::make_unique<Fiber>(
+        [&ran] {
+          ++ran;
+          Fiber::suspend();
+        },
+        "idle", kStack));
+  }
+  for (auto& f : fibers) f->resume();  // every stack now holds a parked frame
+  const long grown_mb = (resident_bytes() - before) >> 20;
+  EXPECT_EQ(ran, kFibers);
+  EXPECT_LT(grown_mb, 64) << "resident growth for " << kFibers << " parked fibers";
 }
 
 }  // namespace

@@ -143,15 +143,18 @@ TEST(ParallelEngineTest, PingPongIsExactAndDeterministic) {
 TEST(ParallelEngineTest, RunToEmptyDrainsCrossTraffic) {
   ParallelEngine par(3);
   par.set_lookahead(5);
-  int fired = 0;
+  // One counter per destination shard: the deliveries fire on different threads.
+  std::array<int, 3> fired_per_shard{};
   for (int s = 0; s < 3; ++s) {
     Engine& src = par.shard(s);
     Engine& dst = par.shard((s + 1) % 3);
-    src.schedule_at(s + 1, [&src, &dst, &fired] {
-      src.send_cross(dst, src.now() + 5, [&fired] { ++fired; }, 1, 0);
+    int& count = fired_per_shard[static_cast<std::size_t>((s + 1) % 3)];
+    src.schedule_at(s + 1, [&src, &dst, &count] {
+      src.send_cross(dst, src.now() + 5, [&count] { ++count; }, 1, 0);
     });
   }
   par.run();
+  const int fired = fired_per_shard[0] + fired_per_shard[1] + fired_per_shard[2];
   EXPECT_EQ(fired, 3);
   for (int s = 0; s < 3; ++s) EXPECT_EQ(par.shard(s).pending_events(), 0u);
 }
