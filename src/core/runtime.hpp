@@ -15,7 +15,6 @@
 #include "hw/cab.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
-#include "sim/trace.hpp"
 
 namespace nectar::core {
 
@@ -28,8 +27,8 @@ class CabRuntime {
   /// `metrics` and `tracer` are the network-wide observability sinks; a
   /// standalone runtime (nullptr metrics) falls back to a private registry so
   /// register_metrics callers always have somewhere to report.
-  explicit CabRuntime(hw::CabBoard& board, sim::TraceRecorder* trace = nullptr,
-                      obs::MetricsRegistry* metrics = nullptr, obs::Tracer* tracer = nullptr);
+  explicit CabRuntime(hw::CabBoard& board, obs::MetricsRegistry* metrics = nullptr,
+                      obs::Tracer* tracer = nullptr);
 
   CabRuntime(const CabRuntime&) = delete;
   CabRuntime& operator=(const CabRuntime&) = delete;
@@ -69,12 +68,10 @@ class CabRuntime {
 
   // --- observability ----------------------------------------------------------------
 
-  sim::TraceRecorder* trace() { return trace_; }
+  /// Protocol breakdown point (the Figure-6 stages): an instant on this
+  /// CAB's CPU track at the current simulated time.
   void trace_mark(const char* label) {
-    if (trace_ != nullptr && trace_->enabled()) trace_->mark(label);
-    // Mirror legacy marks onto this CAB's CPU track so Figure-6 style
-    // breakdown points appear on the Chrome timeline unchanged.
-    NECTAR_TRACE(if (obs::tracing(cpu_.tracer())) cpu_.tracer()->instant(cpu_.trace_track(), label));
+    if (obs::tracing(cpu_.tracer())) cpu_.tracer()->instant(cpu_.trace_track(), label);
   }
 
   /// The registry this node reports into (network-wide or the private
@@ -89,7 +86,6 @@ class CabRuntime {
   HostSignaling signals_;
   SyncPool cab_syncs_;
   SyncPool host_syncs_;
-  sim::TraceRecorder* trace_;
 
   // Declared before metrics_reg_ so probes unhook before the fallback
   // registry (if used) is destroyed.

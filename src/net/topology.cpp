@@ -29,14 +29,7 @@ std::string balance_detail(std::initializer_list<std::pair<const char*, std::uin
 
 Network::Network(int shards)
     : par_(std::make_unique<sim::ParallelEngine>(shards)),
-      trace_(par_->shard(0)),
-      tracer_(par_->shard(0)) {
-  // The debug TraceRecorder appends every mark() to one growing vector that
-  // only the Figure-6 bench reads, and from worker threads at shards > 1.
-  // It starts off, so instrumented paths reduce to one branch; a
-  // single-shard caller that wants the marks calls set_enabled(true).
-  trace_.set_enabled(false);
-}
+      tracer_(par_->shard(0)) {}
 
 void Network::register_audit(obs::Auditor& auditor) {
   // Per-node fiber conservation: every frame that started serializing is
@@ -176,7 +169,7 @@ int Network::add_cab(int hub_id, int port, bool with_vme) {
   cn->board =
       std::make_unique<hw::CabBoard>(eng, "cab" + std::to_string(node), node, cn->vme.get());
   cn->board->dma().attach_profiler(&profiler_, node_proc + ".dma");
-  cn->rt = std::make_unique<core::CabRuntime>(*cn->board, &trace_, &metrics_, &tracer_);
+  cn->rt = std::make_unique<core::CabRuntime>(*cn->board, &metrics_, &tracer_);
   cn->rt->cpu().attach_profiler(&profiler_);
   cn->dl = std::make_unique<proto::Datalink>(*cn->rt);
   cn->hub = hub_id;

@@ -15,7 +15,6 @@
 #include "proto/datalink.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
-#include "sim/trace.hpp"
 
 namespace nectar::obs {
 class Auditor;
@@ -62,9 +61,6 @@ class Network {
   sim::Engine& hub_engine(int hub_id) { return par_->shard(hub_shard(hub_id)); }
   int node_shard(int node) const { return hub_shard(cab_hub(node)); }
   sim::Engine& engine_of_node(int node) { return par_->shard(node_shard(node)); }
-
-  /// The debug Figure-6 recorder: off until trace().set_enabled(true).
-  sim::TraceRecorder& trace() { return trace_; }
 
   /// Network-wide observability: every node's stats report into one registry,
   /// and every node's scheduler/bus/wire events share one tracer (disabled
@@ -194,7 +190,6 @@ class Network {
   const std::vector<std::uint8_t>& hub_path(int a, int b) const;
 
   std::unique_ptr<sim::ParallelEngine> par_;
-  sim::TraceRecorder trace_;
   obs::MetricsRegistry metrics_;
   obs::Tracer tracer_;
   obs::Profiler profiler_;

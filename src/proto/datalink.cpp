@@ -99,7 +99,7 @@ void Datalink::send_via(PacketType type, const hw::RouteRef& route, int dst_node
 
   ++packets_sent_;
   packet_bytes_->observe(static_cast<std::int64_t>(proto_len + len));
-  NECTAR_TRACE(trace_instant("dl.send"));
+  trace_instant("dl.send");
   hw::SendCallback completion;
   if (on_sent) {
     core::Cpu& cpu = rt_.cpu();
@@ -135,7 +135,7 @@ void Datalink::send_mcast(PacketType type, const hw::McastRef& mcast, HeaderBufL
 
   ++packets_sent_;
   packet_bytes_->observe(static_cast<std::int64_t>(proto_len + len));
-  NECTAR_TRACE(trace_instant("dl.send"));
+  trace_instant("dl.send");
   hw::SendCallback completion;
   if (on_sent) {
     core::Cpu& cpu = rt_.cpu();
@@ -165,7 +165,7 @@ core::Message Datalink::RxFrame::message() const {
 
 void Datalink::deliver(const RxFrame& rx) {
   ++packets_received_;
-  NECTAR_TRACE(trace_instant("dl.recv"));
+  trace_instant("dl.recv");
   core::Message m = rx.message();
   obs::CausalTracer* tracer = obs::CausalTracer::active();
   obs::TraceContext rctx =

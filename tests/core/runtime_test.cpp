@@ -71,19 +71,27 @@ TEST(Runtime, PacketHandlerRunsInInterruptContext) {
 
 TEST(Runtime, TraceMarksFlowToSharedRecorder) {
   sim::Engine engine;
-  sim::TraceRecorder trace(engine);
+  obs::Tracer tracer(engine);
+  tracer.set_enabled(true);
   hw::CabBoard board(engine, "cab0", 0);
-  CabRuntime rt(board, &trace);
+  CabRuntime rt(board, nullptr, &tracer);
+  sim::SimTime charged_at = -1;
   rt.fork_system("t", [&] {
     rt.cpu().charge(sim::usec(5));
+    charged_at = engine.now();
     rt.trace_mark("checkpoint");
   });
   engine.run();
-  EXPECT_GT(trace.mark_time("checkpoint"), 0);
+  const obs::Tracer::Event* e = tracer.find("checkpoint");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->type, obs::Tracer::EventType::Instant);
+  EXPECT_EQ(e->track, rt.cpu().trace_track());
+  EXPECT_EQ(e->ts, charged_at);
+  EXPECT_GE(e->ts, sim::usec(5));
 }
 
 TEST(Runtime, TraceMarkWithoutRecorderIsSafe) {
-  Fixture f;
+  Fixture f;  // no tracer attached
   f.rt.fork_system("t", [&] { f.rt.trace_mark("nobody-listens"); });
   f.engine.run();
   SUCCEED();

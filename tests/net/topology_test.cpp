@@ -115,16 +115,16 @@ TEST(NectarSystemTest, EveryPairCanExchangeDatagrams) {
   EXPECT_EQ(delivered, 12);
 }
 
-TEST(NectarSystemTest, TraceRecorderRecordsOnlyWhenEnabled) {
-  // The debug Figure-6 recorder starts off at one shard too: a run leaves
-  // no marks in it unless a caller turned it on.
+TEST(NectarSystemTest, TracerRecordsOnlyWhenEnabled) {
+  // The network-wide tracer starts off: a run leaves no events in it unless
+  // a caller turned it on, and then the protocol marks arrive in order.
   for (bool enabled : {false, true}) {
     SCOPED_TRACE(enabled ? "enabled" : "default");
     NectarSystem sys(2);
     ASSERT_EQ(sys.net().shard_count(), 1);
-    sim::TraceRecorder& trace = sys.net().trace();
-    EXPECT_FALSE(trace.enabled());
-    trace.set_enabled(enabled);
+    obs::Tracer& tracer = sys.tracer();
+    EXPECT_FALSE(tracer.enabled());
+    tracer.set_enabled(enabled);
     core::Mailbox& inbox = sys.runtime(1).create_mailbox("in");
     bool delivered = false;
     sys.runtime(0).fork_system("tx", [&] {
@@ -138,11 +138,13 @@ TEST(NectarSystemTest, TraceRecorderRecordsOnlyWhenEnabled) {
     sys.engine().run();
     EXPECT_TRUE(delivered);
     if (enabled) {
-      EXPECT_GE(trace.mark_time("datagram.send"), 0);
-      EXPECT_GT(trace.mark_time("datagram.deliver"), trace.mark_time("datagram.send"));
+      const obs::Tracer::Event* send = tracer.find("datagram.send");
+      const obs::Tracer::Event* deliver = tracer.find("datagram.deliver");
+      ASSERT_NE(send, nullptr);
+      ASSERT_NE(deliver, nullptr);
+      EXPECT_GT(deliver->ts, send->ts);
     } else {
-      EXPECT_TRUE(trace.marks().empty());
-      EXPECT_TRUE(trace.spans().empty());
+      EXPECT_TRUE(tracer.events().empty());
     }
   }
 }
