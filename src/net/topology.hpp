@@ -85,7 +85,7 @@ class Network {
   /// (per-shard event counts, window/mailbox statistics) and the byte
   /// pools are skipped — they are thread_local, and the coordinator thread's
   /// pools see no frame traffic.
-  /// Idempotent: telemetry and [scenario] substrate_metrics may both ask.
+  /// Idempotent: safe to call from telemetry and tests alike.
   void register_substrate_metrics();
 
   /// Wire the substrate's conservation laws into `auditor` (tick-checked

@@ -19,25 +19,16 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-[[noreturn]] void bad_value(const std::string& key, const std::string& value, const char* want) {
-  throw std::runtime_error("config: key '" + key + "': expected " + want + ", got '" + value +
-                           "'");
-}
-
 }  // namespace
+
+void Section::bad_value(const std::string& key, const std::string& want) const {
+  throw std::runtime_error("config: [" + name + "] " + key + ": expected " + want + ", got '" +
+                           values.at(key) + "'");
+}
 
 std::string Section::get(const std::string& key, const std::string& fallback) const {
   auto it = values.find(key);
   return it == values.end() ? fallback : it->second;
-}
-
-std::int64_t Section::get_int(const std::string& key, std::int64_t fallback) const {
-  auto it = values.find(key);
-  if (it == values.end()) return fallback;
-  char* end = nullptr;
-  long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') bad_value(key, it->second, "an integer");
-  return v;
 }
 
 double Section::get_double(const std::string& key, double fallback) const {
@@ -45,7 +36,7 @@ double Section::get_double(const std::string& key, double fallback) const {
   if (it == values.end()) return fallback;
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') bad_value(key, it->second, "a number");
+  if (end == it->second.c_str() || *end != '\0') bad_value(key, "a number");
   return v;
 }
 
@@ -55,7 +46,7 @@ bool Section::get_bool(const std::string& key, bool fallback) const {
   const std::string& v = it->second;
   if (v == "true" || v == "yes" || v == "on" || v == "1") return true;
   if (v == "false" || v == "no" || v == "off" || v == "0") return false;
-  bad_value(key, v, "a boolean");
+  bad_value(key, "a boolean");
 }
 
 sim::SimTime Section::get_time(const std::string& key, sim::SimTime fallback) const {
@@ -64,7 +55,7 @@ sim::SimTime Section::get_time(const std::string& key, sim::SimTime fallback) co
   try {
     return parse_time(it->second);
   } catch (const std::exception&) {
-    bad_value(key, it->second, "a duration (e.g. 250us, 5ms, 2s)");
+    bad_value(key, "a duration (e.g. 250us, 5ms, 2s)");
   }
 }
 
@@ -92,8 +83,10 @@ sim::SimTime parse_time(std::string_view text) {
 
 Config Config::parse_string(std::string_view text) {
   Config cfg;
-  Section current;  // implicit "" section
   int line_no = 0;
+  auto fail = [&line_no](const std::string& why) {
+    throw std::runtime_error("config line " + std::to_string(line_no) + ": " + why);
+  };
   std::istringstream in{std::string(text)};
   std::string raw;
   while (std::getline(in, raw)) {
@@ -101,34 +94,20 @@ Config Config::parse_string(std::string_view text) {
     std::string_view line = trim(raw);
     if (line.empty() || line.front() == '#' || line.front() == ';') continue;
     if (line.front() == '[') {
-      if (line.back() != ']' || line.size() < 3) {
-        throw std::runtime_error("config line " + std::to_string(line_no) +
-                                 ": malformed section header: " + std::string(line));
-      }
-      if (!current.name.empty() || !current.values.empty()) {
-        cfg.sections_.push_back(std::move(current));
-      }
-      current = Section{};
-      current.name = std::string(trim(line.substr(1, line.size() - 2)));
+      std::string_view name = line.back() == ']' ? trim(line.substr(1, line.size() - 2)) : "";
+      if (name.empty()) fail("malformed section header: " + std::string(line));
+      cfg.sections_.push_back(Section{std::string(name), {}});
       continue;
     }
     std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::runtime_error("config line " + std::to_string(line_no) +
-                               ": expected key = value, got: " + std::string(line));
-    }
+    if (eq == std::string_view::npos) fail("expected key = value, got: " + std::string(line));
     std::string key(trim(line.substr(0, eq)));
-    std::string value(trim(line.substr(eq + 1)));
-    if (key.empty()) {
-      throw std::runtime_error("config line " + std::to_string(line_no) + ": empty key");
+    if (key.empty()) fail("empty key");
+    if (cfg.sections_.empty()) fail("key '" + key + "' comes before the first [section]");
+    Section& current = cfg.sections_.back();
+    if (!current.values.emplace(key, std::string(trim(line.substr(eq + 1)))).second) {
+      fail("duplicate key '" + key + "' in section [" + current.name + "]");
     }
-    if (!current.values.emplace(key, value).second) {
-      throw std::runtime_error("config line " + std::to_string(line_no) + ": duplicate key '" +
-                               key + "' in section [" + current.name + "]");
-    }
-  }
-  if (!current.name.empty() || !current.values.empty()) {
-    cfg.sections_.push_back(std::move(current));
   }
   return cfg;
 }
@@ -139,21 +118,6 @@ Config Config::parse_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return parse_string(buf.str());
-}
-
-const Section* Config::find(std::string_view name) const {
-  for (const Section& s : sections_) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
-}
-
-std::vector<const Section*> Config::all(std::string_view name) const {
-  std::vector<const Section*> out;
-  for (const Section& s : sections_) {
-    if (s.name == name) out.push_back(&s);
-  }
-  return out;
 }
 
 }  // namespace nectar::scenario

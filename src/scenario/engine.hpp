@@ -96,7 +96,6 @@ struct ScenarioSpec {
   bool tcp_congestion = true;      ///< scenarios default to the full stack
   bool software_checksum = true;
   std::int64_t mtu = static_cast<std::int64_t>(proto::Ip::kDefaultMtu);
-  bool substrate_metrics = false;  ///< HUB/pool probes into the report
   bool attach_metrics = false;     ///< full metrics snapshot in the report
   /// Conservative-parallel execution ([parallel] section). shards=1 (the
   /// default) runs the sequential engine and reproduces legacy reports
@@ -124,10 +123,11 @@ struct ScenarioSpec {
   ProfileSpec profile;
   TracingSpec tracing;
 
-  /// Build a spec from a parsed config: one [scenario] and [topology]
-  /// section, any number of [workload] and [fault] sections (applied in
-  /// file order). Throws std::runtime_error / std::invalid_argument on
-  /// malformed input.
+  /// Build a spec from a parsed config. [workload], [fault] and [capture]
+  /// may repeat (applied in file order); every other section appears at
+  /// most once. Unknown sections or keys, a repeat, and a value that does
+  /// not fit its field throw std::runtime_error; an unknown name and a
+  /// failed range or combination check throw std::invalid_argument.
   static ScenarioSpec from_config(const Config& cfg);
 };
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "net/topology.hpp"
+#include "scenario/config.hpp"
 #include "sim/random.hpp"
 
 namespace nectar::scenario {
@@ -33,6 +34,12 @@ enum class FaultKind {
                  ///< rebooted after `duration`
 };
 
+inline constexpr EnumName<FaultKind> kFaultKinds[] = {
+    {"link_drop", FaultKind::LinkDrop},       {"link_corrupt", FaultKind::LinkCorrupt},
+    {"link_down", FaultKind::LinkDown},       {"link_drop_burst", FaultKind::LinkDropBurst},
+    {"hub_blackout", FaultKind::HubBlackout}, {"vme_stall", FaultKind::VmeStall},
+    {"cab_crash", FaultKind::CabCrash}};
+
 struct FaultSpec {
   FaultKind kind = FaultKind::LinkDrop;
   std::string target;            ///< element name (grammar above)
@@ -42,7 +49,6 @@ struct FaultSpec {
   double rate = 1.0;             ///< LinkDrop / LinkCorrupt probability
   std::uint64_t count = 1;       ///< LinkDropBurst frames
 
-  static FaultKind parse_kind(const std::string& name);
   std::string describe() const;  ///< "link_drop(node3.link, rate=0.5)" for reports/logs
 };
 

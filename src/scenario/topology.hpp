@@ -10,6 +10,7 @@
 #include <string>
 
 #include "net/topology.hpp"
+#include "scenario/config.hpp"
 
 namespace nectar::scenario {
 
@@ -18,6 +19,10 @@ enum class TopologyKind {
   DualHub,  ///< two HUBs, nodes split evenly, `trunks` parallel trunk pairs
   FatTree,  ///< 2-level: leaf HUBs with CABs, each leaf trunked to every spine
 };
+
+inline constexpr EnumName<TopologyKind> kTopologyKinds[] = {
+    {"star", TopologyKind::Star}, {"dual_hub", TopologyKind::DualHub},
+    {"fat_tree", TopologyKind::FatTree}};
 
 struct TopologySpec {
   TopologyKind kind = TopologyKind::Star;
@@ -35,8 +40,6 @@ struct TopologySpec {
   /// all tie-breaking to spine 0. Off by default — first-trunk routes are
   /// baked into the committed BENCH_* reports.
   bool route_spread = false;
-
-  static TopologyKind parse_kind(const std::string& name);  // "star" | "dual_hub" | "fat_tree"
 };
 
 /// How HUBs map to simulation shards ([parallel] INI section).

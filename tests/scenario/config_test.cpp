@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "scenario/engine.hpp"
 
 namespace nectar::scenario {
@@ -16,12 +18,13 @@ TEST(ConfigTest, ParsesSectionsAndValues) {
       "[topology]\n"
       "kind = star\n"
       "nodes = 8\n");
-  const Section* s = cfg.find("scenario");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->get("name", ""), "smoke");
-  EXPECT_EQ(s->get_int("seed", 0), 42);
-  EXPECT_EQ(cfg.find("topology")->get_int("nodes", 0), 8);
-  EXPECT_EQ(cfg.find("missing"), nullptr);
+  ASSERT_EQ(cfg.sections().size(), 2u);
+  const Section& s = cfg.sections()[0];
+  EXPECT_EQ(s.name, "scenario");
+  EXPECT_EQ(s.get("name", ""), "smoke");
+  EXPECT_EQ(s.get_int("seed", 0), 42);
+  EXPECT_EQ(cfg.sections()[1].name, "topology");
+  EXPECT_EQ(cfg.sections()[1].get_int("nodes", 0), 8);
 }
 
 TEST(ConfigTest, RepeatedSectionsKeepFileOrder) {
@@ -29,11 +32,13 @@ TEST(ConfigTest, RepeatedSectionsKeepFileOrder) {
       "[workload]\nname = a\n"
       "[fault]\nkind = link_drop\n"
       "[workload]\nname = b\n");
-  auto wls = cfg.all("workload");
-  ASSERT_EQ(wls.size(), 2u);
-  EXPECT_EQ(wls[0]->get("name", ""), "a");
-  EXPECT_EQ(wls[1]->get("name", ""), "b");
-  EXPECT_EQ(cfg.all("fault").size(), 1u);
+  const std::vector<Section>& s = cfg.sections();
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(s[0].name, "workload");
+  EXPECT_EQ(s[0].get("name", ""), "a");
+  EXPECT_EQ(s[1].name, "fault");
+  EXPECT_EQ(s[2].name, "workload");
+  EXPECT_EQ(s[2].get("name", ""), "b");
 }
 
 TEST(ConfigTest, CommentsAndWhitespaceIgnored) {
@@ -42,7 +47,9 @@ TEST(ConfigTest, CommentsAndWhitespaceIgnored) {
       "  [a]  \n"
       "; alt comment style\n"
       "  key =   spaced value  \n");
-  EXPECT_EQ(cfg.find("a")->get("key", ""), "spaced value");
+  ASSERT_EQ(cfg.sections().size(), 1u);
+  EXPECT_EQ(cfg.sections()[0].name, "a");
+  EXPECT_EQ(cfg.sections()[0].get("key", ""), "spaced value");
 }
 
 TEST(ConfigTest, DurationSuffixes) {
@@ -58,7 +65,7 @@ TEST(ConfigTest, DurationSuffixes) {
 
 TEST(ConfigTest, TypedGettersValidate) {
   Config cfg = Config::parse_string("[s]\nn = 12\nf = 0.5\nb = yes\nt = 3ms\nbad = zzz\n");
-  const Section* s = cfg.find("s");
+  const Section* s = &cfg.sections().at(0);
   EXPECT_EQ(s->get_int("n", 0), 12);
   EXPECT_DOUBLE_EQ(s->get_double("f", 0), 0.5);
   EXPECT_TRUE(s->get_bool("b", false));
@@ -83,7 +90,7 @@ TEST(ConfigTest, MalformedInputThrowsWithLineNumber) {
 
 // A misspelled key in ANY section must fail loudly at parse time: every
 // section added since the scenario engine landed carries the same
-// check_keys contract. One case per section, each with a plausible typo.
+// closed-vocabulary contract. One case per section, each with a plausible typo.
 TEST(ConfigTest, EverySectionRejectsUnknownKeys) {
   auto rejects = [](const std::string& ini) {
     try {
@@ -121,6 +128,52 @@ TEST(ConfigTest, DisabledSectionsStillValidateValues) {
                std::runtime_error);
   EXPECT_THROW(ScenarioSpec::from_config(Config::parse_string("[sessions]\nsize = 4\n")),
                std::runtime_error);
+}
+
+// The layout of the file fails loudly too, and so does a value that does not
+// fit its field: each error names the section and the key it is about.
+TEST(ConfigTest, RejectsMisplacedSectionsAndOutOfRangeValues) {
+  struct Case {
+    const char* ini;
+    std::vector<const char*> named;  // what the message must mention
+  };
+  const Case cases[] = {
+      {"[sesions]\nenabled = true\n", {"[sesions]"}},
+      {"[scenario]\nseed = 1\n[topology]\nnodes = 2\n[scenario]\nseed = 5\n", {"[scenario]"}},
+      {"seed = 5\n[scenario]\nname = x\n", {"'seed'", "[section]"}},
+      {"[workload]\nsize = -1\n", {"[workload]", "size"}},
+      {"[workload]\nport = 70000\n", {"[workload]", "port"}},
+      {"[topology]\nhub_ports = 4294967312\n", {"[topology]", "hub_ports"}},
+      {"[fault]\nkind = link_drop\ncount = -1\n", {"[fault]", "count"}},
+  };
+  for (const Case& c : cases) {
+    try {
+      ScenarioSpec::from_config(Config::parse_string(c.ini));
+      ADD_FAILURE() << "accepted:\n" << c.ini;
+    } catch (const std::runtime_error& e) {
+      for (const char* want : c.named) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << "'" << e.what() << "' does not name " << want;
+      }
+    }
+  }
+}
+
+// Every config shipped with the repository parses under the current
+// vocabulary: a renamed or removed key cannot strand an example or a
+// benchmark workload.
+TEST(ConfigTest, ShippedConfigsParse) {
+  const std::filesystem::path root = std::filesystem::path(NECTAR_TEST_SRCDIR) / "..";
+  int parsed = 0;
+  for (const char* dir : {"examples/scenarios", "perfbench/workloads"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(root / dir)) {
+      if (entry.path().extension() != ".ini") continue;
+      EXPECT_NO_THROW(ScenarioSpec::from_config(Config::parse_file(entry.path().string())))
+          << entry.path();
+      ++parsed;
+    }
+  }
+  EXPECT_GE(parsed, 8);
 }
 
 }  // namespace

@@ -62,10 +62,11 @@ TEST(ScenarioTopologyTest, RequiresEmptyNetwork) {
 }
 
 TEST(ScenarioTopologyTest, ParseKind) {
-  EXPECT_EQ(TopologySpec::parse_kind("star"), TopologyKind::Star);
-  EXPECT_EQ(TopologySpec::parse_kind("dual_hub"), TopologyKind::DualHub);
-  EXPECT_EQ(TopologySpec::parse_kind("fat_tree"), TopologyKind::FatTree);
-  EXPECT_THROW(TopologySpec::parse_kind("torus"), std::invalid_argument);
+  auto parse_kind = [](const char* name) { return parse_enum(kTopologyKinds, name, "kind"); };
+  EXPECT_EQ(parse_kind("star"), TopologyKind::Star);
+  EXPECT_EQ(parse_kind("dual_hub"), TopologyKind::DualHub);
+  EXPECT_EQ(parse_kind("fat_tree"), TopologyKind::FatTree);
+  EXPECT_THROW(parse_kind("torus"), std::invalid_argument);
 }
 
 TEST(ScenarioTopologyTest, FatTreeCarriesTrafficEndToEnd) {
